@@ -13,6 +13,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"os"
 	"os/exec"
@@ -254,22 +255,57 @@ func TestClusterHelperProcess(t *testing.T) {
 	}
 }
 
-// reservePorts allocates n distinct loopback ports by binding and
-// releasing listeners. The helper processes re-bind them; the window
-// between release and re-bind is the usual accepted race of
-// fixed-address multi-process tests.
+// reservePorts allocates n distinct loopback ports for helper processes
+// to bind later. A port the kernel hands out for ":0" is an ephemeral
+// port, and once released it can go to any outbound connection — the
+// cluster's own dial retries included — before the helper re-binds it.
+// So ports are drawn from below the ephemeral range where it is known
+// (Linux), where only another explicit bind can take them; elsewhere
+// the ":0" fallback keeps the usual release-then-rebind race.
 func reservePorts(t *testing.T, n int) []string {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
+	addrs := make([]string, 0, n)
+	if lo := ephemeralLow(); lo > 2048 {
+		rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+		seen := make(map[int]bool)
+		for tries := 0; len(addrs) < n && tries < 1000; tries++ {
+			port := 1024 + rng.Intn(lo-1024)
+			if seen[port] {
+				continue
+			}
+			seen[port] = true
+			l, err := net.Listen("tcp", net.JoinHostPort("127.0.0.1", strconv.Itoa(port)))
+			if err != nil {
+				continue
+			}
+			addrs = append(addrs, l.Addr().String())
+			l.Close()
+		}
+	}
+	for len(addrs) < n {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs[i] = l.Addr().String()
+		addrs = append(addrs, l.Addr().String())
 		l.Close()
 	}
 	return addrs
+}
+
+// ephemeralLow returns the first port of the kernel's ephemeral range,
+// or 0 when it cannot be read.
+func ephemeralLow() int {
+	b, err := os.ReadFile("/proc/sys/net/ipv4/ip_local_port_range")
+	if err != nil {
+		return 0
+	}
+	f := strings.Fields(string(b))
+	if len(f) == 0 {
+		return 0
+	}
+	lo, _ := strconv.Atoi(f[0])
+	return lo
 }
 
 // TestClusterKillRecovery is the crash-then-recover contract across real

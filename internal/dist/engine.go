@@ -312,7 +312,30 @@ func (p plainAttemptSink) storeBlock(tile int, edges []graph.Edge) (int64, error
 	return int64(len(edges)), nil
 }
 
-func (p plainAttemptSink) endAttempt() (int64, error) { return 0, p.rs.Close() }
+func (p plainAttemptSink) endAttempt() (int64, error) {
+	err := flushTail(p.rs)
+	if cerr := p.rs.Close(); err == nil {
+		err = cerr
+	}
+	return 0, err
+}
+
+// tailFlusher is an optional RankSink hook for sinks whose buffered edges
+// a live consumer is waiting on (the ordered stream sink). Both attempt
+// sinks call it at the end of every attempt, before the teardown
+// collective: a rank parked in the collective can no longer deliver, so
+// anything it still buffers there would stall the consumer for the rest
+// of the run.
+type tailFlusher interface {
+	flushTail() error
+}
+
+func flushTail(rs RankSink) error {
+	if tf, ok := rs.(tailFlusher); ok {
+		return tf.flushTail()
+	}
+	return nil
+}
 
 // Run executes the Plan→Expand→Route→Sink engine: every rank expands its
 // planned tiles through the blocked kernel (core.ExpandBlock, one A-arc

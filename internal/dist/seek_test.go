@@ -280,7 +280,7 @@ func TestStreamEmitErrorReturnsBuffers(t *testing.T) {
 }
 
 // TestStreamCleanFinishReturnsBuffers: the happy path must balance too,
-// including Close-time residual batches from sub-batch tile tails.
+// including the sub-batch tile tails flushed at the end of the attempt.
 func TestStreamCleanFinishReturnsBuffers(t *testing.T) {
 	a := gen.PrefAttach(11, 2, 83)
 	b := gen.ER(9, 0.5, 84)

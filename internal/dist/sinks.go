@@ -334,10 +334,8 @@ type streamSink struct {
 	chans []chan streamBatch // one per rank
 	batch int
 
-	mu       sync.Mutex
-	free     [][]graph.Edge
-	residual []*streamBatch  // per-rank Close-time tail, delivered out of band
-	done     []chan struct{} // closed by rank i's sink Close: residual[i] is ready
+	mu   sync.Mutex
+	free [][]graph.Edge
 
 	outstanding int64 // buffers checked out and not yet recycled
 	messages    int64
@@ -351,43 +349,11 @@ type streamSink struct {
 const streamChanDepth = 2
 
 func newStreamSink(ctx context.Context, batch, ranks int) *streamSink {
-	s := &streamSink{
-		ctx:      ctx,
-		chans:    make([]chan streamBatch, ranks),
-		batch:    batch,
-		residual: make([]*streamBatch, ranks),
-		done:     make([]chan struct{}, ranks),
-	}
+	s := &streamSink{ctx: ctx, chans: make([]chan streamBatch, ranks), batch: batch}
 	for i := range s.chans {
 		s.chans[i] = make(chan streamBatch, streamChanDepth)
-		s.done[i] = make(chan struct{})
 	}
 	return s
-}
-
-// setResidual parks a rank's Close-time tail for out-of-band pickup. Close
-// cannot deliver through the channel: it may run at attempt teardown
-// (consumer not draining this rank) or from the supervisor's sequential
-// finalize loop (whose rank order can cross the consumer's global tile
-// order), and a blocking send from either can deadlock. The consumer
-// learns the residual is ready from the rank's done signal — closed
-// after the park, so the handoff is ordered.
-func (s *streamSink) setResidual(rank int, b streamBatch) {
-	atomic.AddInt64(&s.messages, 1)
-	atomic.AddInt64(&s.routed, int64(len(b.edges)))
-	atomic.AddInt64(&s.bytes, int64(len(b.edges))*edgeWireBytes)
-	s.mu.Lock()
-	s.residual[rank] = &b
-	s.mu.Unlock()
-}
-
-// takeResidual removes and returns rank's parked tail, or nil.
-func (s *streamSink) takeResidual(rank int) *streamBatch {
-	s.mu.Lock()
-	b := s.residual[rank]
-	s.residual[rank] = nil
-	s.mu.Unlock()
-	return b
 }
 
 func (s *streamSink) getBuf() []graph.Edge {
@@ -499,21 +465,21 @@ func (t *streamRankSink) flush() error {
 	}
 }
 
-// Close parks the final partial batch as the rank's residual instead of
-// flushing: Close runs either at attempt teardown (where the consumer may
-// not be draining this channel) or from the supervisor's sequential
-// finalize loop (whose rank order can cross the consumer's global tile
-// order), and a blocking send from either would deadlock. The consumer
-// picks residuals up after the channels close. Either way the sink leaves
-// no buffer checked out — the outstanding counter must return to zero on
-// every path.
+// flushTail implements tailFlusher: the engine calls it at the end of
+// every attempt, before the teardown collective, so the rank's last
+// partial batch reaches the consumer while the consumer can still drain
+// this channel. Holding it any later deadlocks the stream: the consumer
+// waits for this tail, this rank waits in the collective for a peer, and
+// the peer blocks on its full channel. On a torn-down attempt the flush
+// gives up and the tail stays buffered for the next attempt's flush.
+func (t *streamRankSink) flushTail() error { return t.flush() }
+
+// Close returns the rank's buffer to the pool without sending: every
+// deliverable tail went out in flushTail, and a tail still held here
+// belongs to a failed run. The outstanding counter must return to zero
+// on every path.
 func (t *streamRankSink) Close() error {
-	if len(t.buf) > 0 && t.tile >= 0 {
-		t.s.setResidual(t.rank, streamBatch{tile: t.tile, edges: t.buf})
-	} else if t.buf != nil {
-		t.s.recycle(t.buf)
-	}
+	t.s.recycle(t.buf)
 	t.buf = nil
-	close(t.s.done[t.rank]) // no more sends on this rank's channel
 	return nil
 }

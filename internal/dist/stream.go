@@ -80,16 +80,26 @@ func StreamChainFrom(ctx context.Context, ch *core.Chain, r int, twoD bool, batc
 		return Stats{}, err
 	}
 	rec.Reassign = false
+	return stream(ctx, Config{Plan: plan, Recovery: rec, BatchSize: batch}, emit)
+}
+
+// stream runs cfg with the ordered stream sink and feeds emit on the
+// calling goroutine; cfg.Sink is set here. It is StreamChainFrom after
+// validation and plan slicing, split out so the chaos suite can arm
+// cfg.Faults on a stream.
+func stream(ctx context.Context, cfg Config, emit func([]graph.Edge) error) (Stats, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	sink := newStreamSink(ctx, batch, r)
+	plan := cfg.Plan
+	sink := newStreamSink(ctx, cfg.batchSize(), plan.R)
+	cfg.Sink = sink
 	var st Stats
 	var runErr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		st, runErr = Run(ctx, Config{Plan: plan, Sink: sink, Recovery: rec, BatchSize: batch})
+		st, runErr = Run(ctx, cfg)
 		for _, c := range sink.chans {
 			close(c)
 		}
@@ -100,6 +110,9 @@ func StreamChainFrom(ctx context.Context, ch *core.Chain, r int, twoD bool, batc
 	// arc count is satisfied. Per-rank FIFO delivery plus ID-increasing
 	// per-rank tile lists guarantee the next batch on the needed channel
 	// belongs to the needed tile; the check stays as a loud invariant.
+	// Every rank flushes its tail to its channel before the attempt's
+	// teardown collective (see streamRankSink.flushTail), so a closed
+	// channel means the rank delivers nothing more for this stream.
 	type tileRef struct {
 		id     int
 		rank   int
@@ -119,44 +132,11 @@ func StreamChainFrom(ctx context.Context, ch *core.Chain, r int, twoD bool, batc
 		}
 	}
 
-	// nextBatch blocks for the expected rank's next delivery: a channel
-	// batch, or — once the rank's sink has closed (its done signal) — the
-	// remaining buffered batches and finally the parked residual (see
-	// streamRankSink.Close). The done signal is what lets the consumer
-	// collect a rank's sub-batch tail while other ranks are still running:
-	// waiting for the whole run to finish would deadlock against ranks
-	// blocked on their (bounded) channels. false means the rank delivers
-	// nothing more for this stream.
-	nextBatch := func(tr tileRef) (streamBatch, bool) {
-		select {
-		case b, ok := <-sink.chans[tr.rank]:
-			if ok {
-				return b, true
-			}
-		case <-sink.done[tr.rank]:
-			// Sink closed, so no further sends: drain what is buffered.
-			select {
-			case b, ok := <-sink.chans[tr.rank]:
-				if ok {
-					return b, true
-				}
-			default:
-			}
-		}
-		if res := sink.takeResidual(tr.rank); res != nil {
-			if res.tile == tr.id {
-				return *res, true
-			}
-			sink.recycle(res.edges)
-		}
-		return streamBatch{}, false
-	}
-
 	var emitErr error
 consume:
 	for _, tr := range order {
 		for got := int64(0); got < tr.expect; {
-			b, ok := nextBatch(tr)
+			b, ok := <-sink.chans[tr.rank]
 			if !ok {
 				break consume // the stream ended early (error or cancel)
 			}
@@ -182,18 +162,13 @@ consume:
 		}
 	}
 	// Drain so expander ranks blocked on a flush can exit; every leftover
-	// batch — channel or residual — goes back to the pool.
+	// batch goes back to the pool.
 	for _, c := range sink.chans {
 		for b := range c {
 			sink.recycle(b.edges)
 		}
 	}
 	<-done
-	for i := range sink.chans {
-		if res := sink.takeResidual(i); res != nil {
-			sink.recycle(res.edges)
-		}
-	}
 
 	// The engine's transport counters are idle here (no Owner routing);
 	// delivery to the consumer is the stream's communication.

@@ -136,9 +136,13 @@ func (f *fencedRankSink) storeBlock(tile int, edges []graph.Edge) (int64, error)
 	return stored, err
 }
 
+// endAttempt keeps the underlying sink open across attempts but flushes
+// its tail (see tailFlusher) on every attempt, the failed ones included:
+// a replay whose tiles are all committed expands nothing, and this flush
+// is then the only point at which the previous attempt's tail can move.
 func (f *fencedRankSink) endAttempt() (int64, error) {
 	f.flushCur()
-	return f.skipped, nil // underlying sink stays open across attempts
+	return f.skipped, flushTail(f.under)
 }
 
 // supervision is the cross-attempt state of one supervised run.

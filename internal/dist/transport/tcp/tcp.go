@@ -405,6 +405,11 @@ type link struct {
 	outQ   chan []byte
 	closed chan struct{} // closes writer on Transport.Close
 
+	// down closes when the reader exits: no further frame will arrive
+	// from this peer. downErr is the read error that ended it, if any.
+	down    chan struct{}
+	downErr error
+
 	// lastRecv is the UnixNano of the last frame read from this peer
 	// (any kind, heartbeats included) — the liveness signal the monitor
 	// holds against the heartbeat deadline.
@@ -522,7 +527,7 @@ func Connect(ctx context.Context, n *Node, cfg Config, epoch int64) (*Transport,
 				}
 				return
 			}
-			l := &link{proc: peer, conn: conn, outQ: make(chan []byte, outQDepth), closed: t.closed}
+			l := &link{proc: peer, conn: conn, outQ: make(chan []byte, outQDepth), closed: t.closed, down: make(chan struct{})}
 			l.lastRecv.Store(time.Now().UnixNano())
 			t.links[peer] = l
 			t.wg.Add(2)
@@ -612,11 +617,18 @@ func (t *Transport) Err() error {
 }
 
 // writeLoop drains one link's frame queue onto the socket, applying the
-// armed fault schedule per batch frame.
+// armed fault schedule per batch frame. It runs until Close or its own
+// write error, not until the first failure elsewhere in the mesh: when a
+// peer tears down after the last collective, releases proc 0 already
+// queued for the other peers must still reach them.
 func (t *Transport) writeLoop(l *link) {
 	defer t.wg.Done()
 	defer t.wWg.Done()
 	bw := bufio.NewWriterSize(l.conn, 1<<16)
+	// lost reports a batch frame of a failed mesh: the attempt is lost,
+	// and a peer that stopped reading could block the write and with it
+	// Close, so it is dropped.
+	lost := func(frame []byte) bool { return frame[4] == wire.KindBatch && t.Err() != nil }
 	flushTimer := false
 	for {
 		var frame []byte
@@ -647,7 +659,7 @@ func (t *Transport) writeLoop(l *link) {
 						if frame == nil {
 							continue
 						}
-						if f := t.cfg.Faults; f != nil && f.Partitioned() {
+						if f := t.cfg.Faults; lost(frame) || (f != nil && f.Partitioned()) {
 							framePool.Put(frame[:0])
 							continue
 						}
@@ -662,11 +674,13 @@ func (t *Transport) writeLoop(l *link) {
 						return
 					}
 				}
-			case <-t.dead:
-				return
 			}
 		}
 		if frame == nil {
+			continue
+		}
+		if lost(frame) {
+			framePool.Put(frame[:0])
 			continue
 		}
 		if f := t.cfg.Faults; f != nil && frame[4] == wire.KindBatch {
@@ -720,9 +734,11 @@ func hardClose(conn net.Conn) {
 // the reduce/release channels. A read error is the peer's death.
 func (t *Transport) readLoop(l *link, br *bufio.Reader) {
 	defer t.wg.Done()
+	defer close(l.down)
 	for {
 		h, payload, err := readFrame(br)
 		if err != nil {
+			l.downErr = err
 			select {
 			case <-t.closed:
 			default:
@@ -1023,6 +1039,13 @@ func (t *Transport) netReduce(ctx context.Context, seq, sum int64) (int64, error
 		if err := t.sendSmall(ctx, 0, wire.KindReduce, seq, payload[:]); err != nil {
 			return 0, err
 		}
+		// Only proc 0 can release this wait, so only its link decides
+		// it. Another worker's link may die first for a benign reason:
+		// that worker got its release and tore its mesh down, and links
+		// are not ordered against each other. A worker that really died
+		// before contributing stalls proc 0's collect instead, and proc 0
+		// then fails and closes its own links.
+		head := t.links[0]
 		deadCh := t.dead
 		for {
 			select {
@@ -1035,19 +1058,16 @@ func (t *Transport) netReduce(ctx context.Context, seq, sum int64) (int64, error
 			case <-ctx.Done():
 				return 0, context.Cause(ctx)
 			case <-deadCh:
-				// The mesh died — but a release sent before the peer
-				// closed is already in the channel (per-link FIFO), so
-				// drain it with priority before declaring the failure.
-				for {
-					select {
-					case m := <-t.releaseCh:
-						if m.seq == seq {
-							return m.val, nil
-						}
-					default:
-						return 0, t.err
-					}
+				deadCh = nil
+				if pe, ok := t.err.(*transport.PeerError); !ok || pe.Proc == 0 {
+					return t.awaitRelease(seq, t.err) // e.g. proc 0's heartbeat deadline
 				}
+			case <-head.down:
+				err := error(&transport.PeerError{Proc: 0, Err: head.downErr})
+				if head.downErr == nil {
+					err = t.Err()
+				}
+				return t.awaitRelease(seq, err)
 			}
 		}
 	}
@@ -1099,6 +1119,25 @@ collect:
 	return total, nil
 }
 
+// awaitRelease ends a worker's collective wait once proc 0's link is
+// gone. A release proc 0 sent before closing is already in the channel
+// (per-link FIFO), so it wins over the failure.
+func (t *Transport) awaitRelease(seq int64, err error) (int64, error) {
+	for {
+		select {
+		case m := <-t.releaseCh:
+			if m.seq == seq {
+				return m.val, nil
+			}
+		default:
+			if err == nil {
+				err = &transport.PeerError{Proc: 0, Err: io.ErrUnexpectedEOF}
+			}
+			return 0, err
+		}
+	}
+}
+
 // sendSmall queues one fixed-payload frame on a peer link.
 func (t *Transport) sendSmall(ctx context.Context, peer int, kind uint8, seq int64, payload []byte) error {
 	frame := framePool.Get().([]byte)[:0]
@@ -1109,6 +1148,14 @@ func (t *Transport) sendSmall(ctx context.Context, peer int, kind uint8, seq int
 		Epoch: t.epoch, Tile: seq, PayloadLen: uint32(len(payload)),
 	})
 	copy(frame[n+wire.HeaderSize:], payload)
+	// Enqueue first when there is room: a failure on some other link
+	// must not lose a frame this link can still carry (select picks
+	// among ready cases at random).
+	select {
+	case t.links[peer].outQ <- frame:
+		return nil
+	default:
+	}
 	select {
 	case t.links[peer].outQ <- frame:
 		return nil

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -15,6 +15,10 @@ import (
 	"kronlab/internal/graph"
 	"kronlab/internal/store"
 )
+
+// genFlushBytes is the encoded size at which a /gen stream writes and
+// flushes to the client.
+const genFlushBytes = 1 << 16
 
 // errStreamLimit signals that the client-requested edge cap was reached;
 // it truncates the stream without being an error to report.
@@ -301,57 +305,67 @@ func (s *Server) streamChainEdges(w http.ResponseWriter, r *http.Request, gs []*
 		w.WriteHeader(http.StatusPartialContent)
 	}
 
-	bw := bufio.NewWriterSize(w, 1<<16)
 	flusher, _ := w.(http.Flusher)
 	var written int64
-	var rec [store.RecordSize]byte
-	// writeBytes applies the byte-exact Range window: trim the skipped
-	// prefix of the first record, truncate the last to the budget. The
-	// skip is always intra-record (start % RecordSize < RecordSize), so a
-	// record never vanishes here — the caller's budget check gates whole
-	// records.
-	writeBytes := func(p []byte) error {
-		if skipBytes > 0 {
-			p = p[skipBytes:]
-			skipBytes = 0
+	// Each batch is append-encoded into buf, which goes to the client —
+	// written and pushed with http.Flusher — once it holds genFlushBytes,
+	// so the stream reaches the client while the generator is still
+	// running at one socket write per 64 KiB rather than per batch.
+	buf := make([]byte, 0, genFlushBytes)
+	send := func() error {
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		if err == nil && flusher != nil {
+			flusher.Flush()
 		}
-		if byteBudget >= 0 {
-			if int64(len(p)) > byteBudget {
-				p = p[:byteBudget]
-			}
-			byteBudget -= int64(len(p))
-		}
-		_, err := bw.Write(p)
 		return err
 	}
 	emit := func(batch []graph.Edge) error {
-		for _, e := range batch {
-			if limit >= 0 && written >= limit {
-				return errStreamLimit
-			}
-			var err error
-			if binaryFmt {
-				if byteBudget == 0 {
-					return errStreamLimit // range satisfied before this arc
+		// Cut the batch at the client's arc limit and, under a bounded
+		// Range, at the last arc the byte budget reaches; either cut ends
+		// the stream once the kept prefix is out.
+		var cut bool
+		if limit >= 0 && int64(len(batch)) > limit-written {
+			batch, cut = batch[:limit-written], true
+		}
+		if binaryFmt {
+			if byteBudget >= 0 {
+				if n := (skipBytes + byteBudget + store.RecordSize - 1) / store.RecordSize; int64(len(batch)) > n {
+					batch, cut = batch[:n], true
 				}
-				store.PutRecord(rec[:], e.U, e.V)
-				err = writeBytes(rec[:])
-			} else {
-				_, err = fmt.Fprintf(bw, "{\"u\":%d,\"v\":%d}\n", e.U, e.V)
 			}
-			if err != nil {
+			start := len(buf)
+			for _, e := range batch {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(e.U))
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(e.V))
+			}
+			// The byte-exact Range window: trim the skipped prefix of the
+			// first record, truncate the last to the budget.
+			if skipBytes > 0 && len(batch) > 0 {
+				buf = append(buf[:start], buf[start+int(skipBytes):]...)
+				skipBytes = 0
+			}
+			if byteBudget >= 0 {
+				buf = buf[:start+int(min(int64(len(buf)-start), byteBudget))]
+				byteBudget -= int64(len(buf) - start)
+			}
+		} else {
+			for _, e := range batch {
+				buf = append(buf, `{"u":`...)
+				buf = strconv.AppendInt(buf, e.U, 10)
+				buf = append(buf, `,"v":`...)
+				buf = strconv.AppendInt(buf, e.V, 10)
+				buf = append(buf, "}\n"...)
+			}
+		}
+		written += int64(len(batch))
+		if len(buf) >= genFlushBytes {
+			if err := send(); err != nil {
 				return err // client went away; the stream tears down the expanders
 			}
-			written++
 		}
-		// Flush per batch so the stream reaches the client while the
-		// generator is still running; a long product otherwise sits in
-		// bufio and the response buffers until the run completes.
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
+		if cut {
+			return errStreamLimit
 		}
 		return nil
 	}
@@ -362,8 +376,10 @@ func (s *Server) streamChainEdges(w http.ResponseWriter, r *http.Request, gs []*
 	stats, err := dist.StreamChainFrom(r.Context(), ch, ranks, twoD, 0, offset, streamLimit, recov, emit)
 	s.metrics.AddGenStats(stats)
 	complete := err == nil || errors.Is(err, errStreamLimit)
-	if complete {
-		_ = bw.Flush()
+	// Every counted arc reaches the client, cut-short streams included:
+	// the trailers' arc count and resume token name that position.
+	if len(buf) > 0 {
+		_ = send() // a failed write has no one left to report to
 	}
 	// Trailer values: with the names declared up front, setting them on
 	// the header map after the body is written sends them as trailers.

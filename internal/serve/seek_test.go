@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"kronlab/internal/core"
+	"kronlab/internal/dist"
 	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 	"kronlab/internal/store"
@@ -184,21 +187,50 @@ func TestGenerateRangeRequests(t *testing.T) {
 		t.Fatalf("full stream is %d bytes, want %d", len(full), totalBytes)
 	}
 
+	// The first emitted batch of a ranks=2 stream ends at its first tile
+	// (tiles are far below DefaultStreamBatch here); the 1D byte stream
+	// itself does not depend on the rank count.
+	ch, err := core.NewChain(gen.PrefAttach(7, 2, 101), gen.ER(5, 0.6, 102))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var firstBatch int64
+	if _, err := dist.StreamChain(context.Background(), ch, 2, false, 0, dist.Recovery{}, func(batch []graph.Edge) error {
+		if firstBatch == 0 {
+			firstBatch = int64(len(batch))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	batchEnd := firstBatch*store.RecordSize - 1
+	if batchEnd+1 >= totalBytes {
+		t.Fatalf("first batch spans the whole %d-byte stream", totalBytes)
+	}
+
 	for _, tc := range []struct {
 		name string
+		q    string // extra query parameters
 		hdr  string
 		want []byte
 		cr   string
 	}{
-		{"open-aligned", fmt.Sprintf("bytes=%d-", 3*store.RecordSize),
+		{"open-aligned", "", fmt.Sprintf("bytes=%d-", 3*store.RecordSize),
 			full[3*store.RecordSize:], fmt.Sprintf("bytes %d-%d/%d", 3*store.RecordSize, totalBytes-1, totalBytes)},
-		{"open-unaligned", "bytes=5-", full[5:], fmt.Sprintf("bytes 5-%d/%d", totalBytes-1, totalBytes)},
-		{"bounded-unaligned", "bytes=7-40", full[7:41], fmt.Sprintf("bytes 7-40/%d", totalBytes)},
-		{"bounded-overlong", fmt.Sprintf("bytes=8-%d", totalBytes+100),
+		{"open-unaligned", "", "bytes=5-", full[5:], fmt.Sprintf("bytes 5-%d/%d", totalBytes-1, totalBytes)},
+		{"bounded-unaligned", "", "bytes=7-40", full[7:41], fmt.Sprintf("bytes 7-40/%d", totalBytes)},
+		{"bounded-overlong", "", fmt.Sprintf("bytes=8-%d", totalBytes+100),
 			full[8:], fmt.Sprintf("bytes 8-%d/%d", totalBytes-1, totalBytes)},
+		{"within-one-record", "", "bytes=19-27", full[19:28], fmt.Sprintf("bytes 19-27/%d", totalBytes)},
+		{"first-batch-mid-record", "&ranks=2", fmt.Sprintf("bytes=3-%d", batchEnd-5),
+			full[3 : batchEnd-4], fmt.Sprintf("bytes 3-%d/%d", batchEnd-5, totalBytes)},
+		{"ends-on-batch-boundary", "&ranks=2", fmt.Sprintf("bytes=9-%d", batchEnd),
+			full[9 : batchEnd+1], fmt.Sprintf("bytes 9-%d/%d", batchEnd, totalBytes)},
+		{"starts-on-batch-boundary", "&ranks=2", fmt.Sprintf("bytes=%d-", batchEnd+1),
+			full[batchEnd+1:], fmt.Sprintf("bytes %d-%d/%d", batchEnd+1, totalBytes-1, totalBytes)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			resp := genGet(t, base, tc.hdr)
+			resp := genGet(t, base+tc.q, tc.hdr)
 			body := readAll(t, resp)
 			if resp.StatusCode != http.StatusPartialContent {
 				t.Fatalf("status %d, want 206", resp.StatusCode)

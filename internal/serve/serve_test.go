@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"kronlab/internal/core"
 	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 	"kronlab/internal/groundtruth"
@@ -356,21 +357,37 @@ func TestGenerateStreamLimitAndHeaders(t *testing.T) {
 	ha := registerText(t, ts, a, "")
 	hb := registerText(t, ts, b, "")
 
-	resp, err := http.Get(fmt.Sprintf("%s/gen/%s/%s/edges?limit=10", ts.URL, ha, hb))
+	// The 1D stream is the serial enumeration; its ndjson encoding is
+	// pinned byte for byte to the {"u":%d,"v":%d}\n format, whole and cut
+	// by limit= at 0, inside the first batch, and deep in the stream.
+	ch, err := core.NewChain(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get("X-Kronlab-Product-Arcs"); got != fmt.Sprint(a.NumArcs()*b.NumArcs()) {
-		t.Errorf("arc header %q", got)
-	}
-	lines := 0
-	sc := newLineCounter(resp.Body, &lines)
-	if _, err := io.Copy(io.Discard, sc); err != nil {
-		t.Fatal(err)
-	}
-	if lines != 10 {
-		t.Errorf("limit=10 streamed %d lines", lines)
+	var lines [][]byte
+	ch.Arcs(func(u, v int64) bool {
+		lines = append(lines, []byte(fmt.Sprintf("{\"u\":%d,\"v\":%d}\n", u, v)))
+		return true
+	})
+	total := a.NumArcs() * b.NumArcs()
+	for _, limit := range []int64{-1, 0, 10, total/2 + 3} {
+		url := fmt.Sprintf("%s/gen/%s/%s/edges", ts.URL, ha, hb)
+		n := total
+		if limit >= 0 {
+			url += fmt.Sprintf("?limit=%d", limit)
+			n = limit
+		}
+		resp := genGet(t, url, "")
+		body := readAll(t, resp)
+		if got := resp.Header.Get("X-Kronlab-Product-Arcs"); got != fmt.Sprint(total) {
+			t.Errorf("limit=%d: arc header %q", limit, got)
+		}
+		if want := bytes.Join(lines[:n], nil); !bytes.Equal(body, want) {
+			t.Errorf("limit=%d: body (%d bytes) differs from the %d-arc ndjson prefix (%d bytes)", limit, len(body), n, len(want))
+		}
+		if got := resp.Trailer.Get("X-Kronlab-Arcs-Written"); got != fmt.Sprint(n) {
+			t.Errorf("limit=%d: X-Kronlab-Arcs-Written = %q, want %d", limit, got, n)
+		}
 	}
 
 	for _, bad := range []string{"?format=xml", "?layout=3d", "?ranks=0", "?limit=-2"} {
@@ -383,22 +400,6 @@ func TestGenerateStreamLimitAndHeaders(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", bad, resp.StatusCode)
 		}
 	}
-}
-
-// newLineCounter counts newlines flowing through a reader.
-func newLineCounter(r io.Reader, n *int) io.Reader {
-	return &lineCounter{r: r, n: n}
-}
-
-type lineCounter struct {
-	r io.Reader
-	n *int
-}
-
-func (lc *lineCounter) Read(p []byte) (int, error) {
-	n, err := lc.r.Read(p)
-	*lc.n += bytes.Count(p[:n], []byte("\n"))
-	return n, err
 }
 
 func TestMetricsEndpoint(t *testing.T) {
