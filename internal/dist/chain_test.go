@@ -277,7 +277,9 @@ const envChainHelper = "KRONLAB_CHAIN_CLUSTER_HELPER"
 func chainKillFactor() *graph.Graph { return gen.PrefAttach(7, 2, 61) }
 
 // chainKillConfig is the shared shape of the chain crash-recovery
-// cluster, derived independently by driver and helpers.
+// cluster, derived independently by driver and helpers. Like
+// killTestConfig it routes with the store entry points' source-keyed
+// owner, so recovery replays through the run router.
 func chainKillConfig(dir string, r int) (Config, Plan, error) {
 	ch, err := core.PowerChain(chainKillFactor(), 3)
 	if err != nil {
@@ -289,7 +291,7 @@ func chainKillConfig(dir string, r int) (Config, Plan, error) {
 	}
 	return Config{
 		Plan:      plan,
-		Owner:     OwnerBySource,
+		Owner:     sourceHashOwner{},
 		Sink:      NewStoreSink(dir, r),
 		BatchSize: 32,
 		Recovery:  Recovery{MaxRetries: 3, Backoff: 10 * time.Millisecond},

@@ -200,7 +200,9 @@ func killTestFactors() (*graph.Graph, *graph.Graph) {
 }
 
 // killTestConfig is the shared shape of the crash-recovery cluster: the
-// driver (head) and every helper (worker) derive it independently.
+// driver (head) and every helper (worker) derive it independently. It
+// routes with the store entry points' source-keyed owner, so crashed and
+// respawned attempts replay through the run router.
 func killTestConfig(dir string, r int) (Config, Plan, error) {
 	a, b := killTestFactors()
 	plan, err := Plan1D(a, b, r)
@@ -209,7 +211,7 @@ func killTestConfig(dir string, r int) (Config, Plan, error) {
 	}
 	return Config{
 		Plan:      plan,
-		Owner:     OwnerBySource,
+		Owner:     sourceHashOwner{},
 		Sink:      NewStoreSink(dir, r),
 		BatchSize: 32,
 		Recovery:  Recovery{MaxRetries: 3, Backoff: 10 * time.Millisecond},

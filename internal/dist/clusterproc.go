@@ -1134,7 +1134,7 @@ func GenerateChainClusterToStoreOpts(ctx context.Context, ch *core.Chain, dir st
 	}
 	cfg := Config{
 		Plan:     plan,
-		Owner:    OwnerBySource,
+		Owner:    sourceHashOwner{}, // OwnerBySource's shard layout, routed per source run
 		Sink:     NewStoreSink(dir, r),
 		Recovery: rec,
 		Faults:   faults,

@@ -84,6 +84,46 @@ func BenchmarkKernelRSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkRoute isolates the Route stage: an RMAT 7⊗7 product (~3.3M
+// arcs) expanded, routed and counted — a CountSink stores nothing, so
+// the op is expansion plus routing plus the in-process exchange. It
+// compares the two forms of the source hash: OwnerBySource, an OwnerFunc
+// the shipper must call per edge (through OwnerFunc.Bind's wrapper), and
+// the pre-bound, source-keyed sourceHashOwner the store paths use, which
+// routes one source run at a time. edges/s is the layer's rate.
+func BenchmarkRoute(b *testing.B) {
+	a := gen.MustRMAT(gen.Graph500Params(7, 12))
+	bb := gen.MustRMAT(gen.Graph500Params(7, 13))
+	edges := a.NumArcs() * bb.NumArcs()
+	owners := []struct {
+		name  string
+		owner Owner
+	}{
+		{"ownerFunc", OwnerBySource},
+		{"sourceRuns", sourceHashOwner{}},
+	}
+	for _, r := range []int{4, 16} {
+		plan, err := Plan1D(a, bb, r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, o := range owners {
+			b.Run(fmt.Sprintf("R=%d/%s", r, o.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sink := &CountSink{}
+					if _, err := Run(context.Background(), Config{Plan: plan, Owner: o.owner, Sink: sink}); err != nil {
+						b.Fatal(err)
+					}
+					if sink.Total() != edges {
+						b.Fatalf("counted %d edges, want %d", sink.Total(), edges)
+					}
+				}
+				b.ReportMetric(float64(edges)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
+			})
+		}
+	}
+}
+
 // Batch-size sweep of the routed kernel at a fixed rank count — the
 // measurement behind DefaultBatchSize (README §Performance): too small
 // pays per-message overhead, too large blows the staging working set.

@@ -392,8 +392,9 @@ func (cfg Config) batchSize() int {
 // cluster: every rank expands the tiles assigned to it through the
 // blocked kernel (core.ExpandBlock into a reused scratch block), routes
 // whole blocks via the plan-bound owner over the epoch-fenced exchange
-// (or stores them locally when owner is nil), and hands owned batches to
-// the attemptSink sinkFor returns for it. perGen/perStored receive this
+// (or stores them locally when owner is nil; a sourceKeyed owner is
+// called once per source run), and hands owned batches to the
+// attemptSink sinkFor returns for it. perGen/perStored receive this
 // attempt's per-rank counters.
 //
 // Expansion order is exactly the reference order — head arcs in tile
@@ -409,6 +410,7 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 	if owner != nil {
 		bound = owner.Bind(c.r)
 	}
+	_, byRun := owner.(sourceKeyed)
 	return c.RunContext(ctx, func(rk *Rank) error {
 		if err := rk.crashAt(FaultBeforeSinkSetup); err != nil {
 			return err
@@ -582,7 +584,7 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 					if faulty {
 						return perEdge(tile, block, stageOne)
 					}
-					if !s.route(tile, block, bound) {
+					if !s.route(tile, block, bound, byRun) {
 						return false
 					}
 					generated += int64(len(block))

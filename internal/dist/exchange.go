@@ -361,38 +361,85 @@ func (s *shipper) flush(to int, eof bool) bool {
 	return true
 }
 
+// open readies the staging buffer for to before an edge of tile is
+// appended: it checks out a buffer for a destination not yet targeted
+// and, at a tile boundary, first ships the previous tile's partial batch
+// so a batch never mixes tiles. Callers take it only when the staged
+// buffer is empty or belongs to another tile — once per batch, since
+// boundaries are rare (tiles are large) — so the hot loops stay inline.
+func (s *shipper) open(to, tile int) ([]graph.Edge, bool) {
+	b := s.bufs[to]
+	if len(b) > 0 {
+		if !s.flush(to, false) {
+			return nil, false
+		}
+		b = s.bufs[to]
+	} else if b == nil {
+		b = s.getBuf()
+	}
+	s.tile[to] = tile
+	return b, true
+}
+
 // route radix-partitions one expansion block across the per-destination
-// staging buffers: owner is bound at plan time, so the loop body is the
-// owner hash, an append and a threshold check per edge — the routed hot
-// path of the blocked kernel.
-func (s *shipper) route(tile int, block []graph.Edge, owner BoundOwnerFunc) bool {
+// staging buffers — the routed hot path of the blocked kernel. owner is
+// bound at plan time.
+//
+// With byRun (a sourceKeyed owner) route works per source run: every
+// block is in CSR order, so edges with the same source arrive together,
+// and a source-keyed owner sends the whole run to one destination. The
+// owner is called once per run and the run is appended in one copy,
+// split exactly where the per-edge loop would flush — at s.batch and at
+// tile boundaries — so every per-(tile, destination) substream, batch
+// framing included, is identical to the per-edge loop's. Otherwise each
+// edge pays an owner call, an append and a threshold check.
+func (s *shipper) route(tile int, block []graph.Edge, owner BoundOwnerFunc, byRun bool) bool {
 	if s.aborted {
 		return false
 	}
 	bufs, tiles := s.bufs, s.tile
-	for _, e := range block {
-		to := owner(e.U, e.V)
-		b := bufs[to]
-		if len(b) == 0 {
-			if b == nil {
-				b = s.getBuf()
+	if !byRun {
+		for _, e := range block {
+			to := owner(e.U, e.V)
+			b := bufs[to]
+			if len(b) == 0 || tiles[to] != tile {
+				var ok bool
+				if b, ok = s.open(to, tile); !ok {
+					return false
+				}
 			}
-			tiles[to] = tile
-		} else if tiles[to] != tile {
-			// Tile boundary: ship the previous tile's partial batch so a
-			// batch never mixes tiles. Boundaries are rare (tiles are
-			// large), so this costs nothing on the hot path.
-			if !s.flush(to, false) {
+			b = append(b, e)
+			bufs[to] = b
+			if len(b) >= s.batch && !s.flush(to, false) {
 				return false
 			}
-			b = bufs[to]
-			tiles[to] = tile
 		}
-		b = append(b, e)
-		bufs[to] = b
-		if len(b) >= s.batch && !s.flush(to, false) {
-			return false
+		return true
+	}
+	for i := 0; i < len(block); {
+		u := block[i].U
+		j := i + 1
+		for j < len(block) && block[j].U == u {
+			j++
 		}
+		to := owner(u, block[i].V)
+		for run := block[i:j]; len(run) > 0; {
+			b := bufs[to]
+			if len(b) == 0 || tiles[to] != tile {
+				var ok bool
+				if b, ok = s.open(to, tile); !ok {
+					return false
+				}
+			}
+			n := min(s.batch-len(b), len(run))
+			b = append(b, run[:n]...)
+			bufs[to] = b
+			run = run[n:]
+			if len(b) >= s.batch && !s.flush(to, false) {
+				return false
+			}
+		}
+		i = j
 	}
 	return true
 }
@@ -406,24 +453,15 @@ func (s *shipper) stage(to, tile int, e graph.Edge) bool {
 		return false
 	}
 	b := s.bufs[to]
-	if len(b) == 0 {
-		if b == nil {
-			b = s.getBuf()
-		}
-		s.tile[to] = tile
-	} else if s.tile[to] != tile {
-		if !s.flush(to, false) {
+	if len(b) == 0 || s.tile[to] != tile {
+		var ok bool
+		if b, ok = s.open(to, tile); !ok {
 			return false
 		}
-		b = s.bufs[to]
-		s.tile[to] = tile
 	}
 	b = append(b, e)
 	s.bufs[to] = b
-	if len(b) >= s.batch && !s.flush(to, false) {
-		return false
-	}
-	return true
+	return len(b) < s.batch || s.flush(to, false)
 }
 
 // exchangeBlocks is the batched all-to-all transport the engine runs on:
@@ -499,7 +537,8 @@ func (rk *Rank) exchangeBlocks(batch int, produce func(s *shipper), handle func(
 type OwnerFunc func(u, v int64, r int) int
 
 // BoundOwnerFunc is an owner map with the cluster size already resolved —
-// what the routed kernel calls per edge in its hottest loop.
+// what the routed kernel calls in its hottest loop (per edge, or per
+// source run for a sourceKeyed owner).
 type BoundOwnerFunc func(u, v int64) int
 
 // Owner maps generated edges to storing ranks. Bind is called once per
@@ -523,12 +562,25 @@ var OwnerBySource OwnerFunc = func(u, _ int64, r int) int {
 	return int(h % uint64(r))
 }
 
-// sourceHashOwner is OwnerBySource in pre-bound form: Bind returns a
-// closure with the hash inlined, so the routed hot loop pays one
-// indirect call per edge instead of the two (bound wrapper → OwnerFunc)
-// the generic OwnerFunc.Bind costs. The engine substitutes it for a nil
-// owner; both forms compute identical destinations.
+// sourceKeyed marks owners whose destination depends on the source
+// endpoint alone, so the shipper may route each run of equal-source
+// edges with one owner call (shipper.route). An OwnerFunc cannot make
+// that promise — the engine cannot see that a func ignores v — so
+// OwnerFunc values, OwnerBySource included, route per edge.
+type sourceKeyed interface {
+	sourceKeyed()
+}
+
+// sourceHashOwner is OwnerBySource in pre-bound, source-keyed form: Bind
+// returns a closure with the hash inlined, and the routed hot loop calls
+// it once per source run instead of paying the two indirect calls per
+// edge (bound wrapper → OwnerFunc) the generic OwnerFunc.Bind costs. The
+// engine substitutes it for a nil owner and the store entry points route
+// with it; both forms compute identical destinations, so store shard
+// layouts match store.BySource either way.
 type sourceHashOwner struct{}
+
+func (sourceHashOwner) sourceKeyed() {}
 
 // Bind implements Owner.
 func (sourceHashOwner) Bind(r int) BoundOwnerFunc {
@@ -554,6 +606,8 @@ var OwnerByEdge OwnerFunc = func(u, v int64, r int) int {
 type BlockOwner struct {
 	NC int64 // product vertex count n_A·n_B
 }
+
+func (BlockOwner) sourceKeyed() {}
 
 // Bind implements Owner.
 func (o BlockOwner) Bind(r int) BoundOwnerFunc {

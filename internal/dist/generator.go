@@ -66,8 +66,9 @@ func PartitionArcs(arcs []graph.Edge, parts int) [][]graph.Edge {
 // generateChain runs the engine with an in-memory sink — the shared body
 // of GenerateChain, Generate1D and Generate2D.
 func generateChain(ch *core.Chain, r int, owner OwnerFunc, twoD bool) (*Result, error) {
-	// A nil owner means OwnerBySource; bind the pre-specialized form so
-	// the default routed hot loop pays a single indirect call per edge.
+	// A nil owner means OwnerBySource; bind the pre-specialized,
+	// source-keyed form so the default routed hot loop pays a single
+	// indirect call per source run.
 	var ownr Owner = sourceHashOwner{}
 	if owner != nil {
 		ownr = owner
@@ -297,7 +298,9 @@ func GenerateChainToStoreFrom(ch *core.Chain, r int, dir string, twoD bool, offs
 		return nil, Stats{}, err
 	}
 	sink := NewStoreSink(dir, r)
-	st, err := Run(context.Background(), Config{Plan: plan, Owner: OwnerBySource, Sink: sink})
+	// sourceHashOwner is OwnerBySource's hash in source-keyed form: the
+	// same shard layout, routed one source run at a time.
+	st, err := Run(context.Background(), Config{Plan: plan, Owner: sourceHashOwner{}, Sink: sink})
 	if err != nil {
 		return nil, Stats{}, err
 	}
